@@ -3,7 +3,8 @@
 The paper's deployment (Section 5) is many sidecar processes sharing one
 Kafka and one Redis; throughput grows with the process count because each
 process is an independent event loop. This benchmark reproduces both halves
-of that claim on the simulated cluster runtime (`repro.core.cluster`):
+of that claim on the simulated multi-worker runtime
+(`KarApplication(workers=N)`):
 
 - **scaling** -- the identical sharded fan-out workload on 1, 2, and 4
   worker event loops, with a per-invocation event-loop cost
@@ -19,7 +20,7 @@ from __future__ import annotations
 import tempfile
 
 from repro.bench import render_table
-from repro.core import Actor, KarCluster, KarConfig, actor_proxy
+from repro.core import Actor, KarApplication, KarConfig, actor_proxy
 from repro.persist import PersistenceConfig
 from repro.sim import Kernel
 
@@ -61,7 +62,7 @@ def _deploy(workers: int, mode: str, root: str | None, seed: int):
         config = config.with_overrides(
             persistence=PersistenceConfig.sqlite(root)
         )
-    app = KarCluster(kernel, config, "scaleout", workers=workers)
+    app = KarApplication(kernel, config, "scaleout", workers=workers)
     app.register_actor(EchoActor, name="Echo")
     app.register_actor(TallyActor, name="Tally")
     for index in range(COMPONENTS):

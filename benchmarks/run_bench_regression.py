@@ -12,6 +12,12 @@ Usage::
     python benchmarks/run_bench_regression.py --output BENCH_results.json
     python benchmarks/run_bench_regression.py --check \
         --baseline benchmarks/BENCH_baseline.json --output BENCH_results.json
+    PYTHONHASHSEED=1 python benchmarks/run_bench_regression.py \
+        --output BENCH_results_seed1.json --same-as BENCH_results.json
+
+``--same-as`` fails unless every gated metric equals the one recorded in
+another results file: run under a different ``PYTHONHASHSEED``, it proves
+the simulated numbers do not depend on string-hash order.
 
 Gated metrics (higher = worse, fail above baseline * 1.10) cover the fan-in
 produce round trips, the stateful store round trips / median call latency /
@@ -314,6 +320,15 @@ def check(metrics: dict[str, float], baseline: dict[str, float]) -> list[str]:
     return failures
 
 
+def same_as(metrics: dict, other: dict) -> list[str]:
+    """Gated metrics that differ from another run's (exact comparison)."""
+    return [
+        f"{name}: {metrics[name]} here vs {other.get(name)} in the other run"
+        for name in GATED_HIGHER_IS_WORSE + GATED_LOWER_IS_WORSE
+        if metrics[name] != other.get(name)
+    ]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default="BENCH_results.json")
@@ -322,6 +337,11 @@ def main() -> int:
         "--check",
         action="store_true",
         help="fail (exit 1) if gated metrics regress vs the baseline",
+    )
+    parser.add_argument(
+        "--same-as",
+        metavar="RESULTS",
+        help="fail (exit 1) unless every gated metric equals RESULTS's",
     )
     args = parser.parse_args()
 
@@ -335,20 +355,24 @@ def main() -> int:
     print(f"\nwrote {args.output}:")
     print(json.dumps(metrics, indent=2))
 
-    if not args.check:
-        return 0
-    baseline_path = Path(args.baseline)
-    if not baseline_path.exists():
-        print(f"baseline {baseline_path} not found", file=sys.stderr)
-        return 1
-    baseline = json.loads(baseline_path.read_text())["metrics"]
-    failures = check(metrics, baseline)
+    failures = []
+    if args.same_as:
+        other = json.loads(Path(args.same_as).read_text())["metrics"]
+        failures += same_as(metrics, other)
+    if args.check:
+        baseline_path = Path(args.baseline)
+        if not baseline_path.exists():
+            print(f"baseline {baseline_path} not found", file=sys.stderr)
+            return 1
+        baseline = json.loads(baseline_path.read_text())["metrics"]
+        failures += check(metrics, baseline)
     if failures:
         print("\nBENCHMARK REGRESSIONS:", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print(f"\nregression gate green (tolerance {TOLERANCE:.0%})")
+    if args.check or args.same_as:
+        print(f"\nregression gate green (tolerance {TOLERANCE:.0%})")
     return 0
 
 

@@ -16,7 +16,7 @@ Public surface:
 from repro.core.actor import Actor, ActorRegistry
 from repro.core.api import KarApi
 from repro.core.app import KarApplication
-from repro.core.cluster import DecayingCounter, KarCluster, KarWorker, WorkerLoop
+from repro.core.cluster import DecayingCounter, KarWorker, WorkerLoop
 from repro.core.config import KarConfig
 from repro.core.context import ActorContext
 from repro.core.dispatcher import ActorMailbox
@@ -65,7 +65,6 @@ __all__ = [
     "InvocationCancelled",
     "KarApi",
     "KarApplication",
-    "KarCluster",
     "KarConfig",
     "KarError",
     "KarWorker",

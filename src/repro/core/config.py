@@ -57,8 +57,6 @@ class KarConfig:
     # distinct round trips by construction; per-operation futures and
     # landing-time fencing keep the unpipelined semantics exactly.
     store_pipeline: bool = True
-    # Upper bound on operations per pipelined store round trip.
-    store_batch_max: int = 64
 
     # --- feature flags ------------------------------------------------------
     placement_cache: bool = True  # Table 2 "no cache" disables this
@@ -110,12 +108,11 @@ class KarConfig:
     # each retry sleeps uniform(0, min(cap, base * 2^attempt)).
     retry_backoff_base: float = 0.05
     retry_backoff_cap: float = 2.0
-    # Token-bucket retry budget: each first attempt deposits ``ratio``
-    # tokens (capped at ``burst``), each retry spends one, and a dry bucket
-    # defers the retry through further backoff rounds. ``floor_per_sec``
-    # trickles tokens in on the clock so recovery cannot deadlock when
-    # first-attempt traffic has stopped.
-    retry_budget_ratio: float = 0.1
+    # Token-bucket retry budget: each first attempt deposits
+    # ``overload.RETRY_BUDGET_RATIO`` tokens (capped at ``burst``), each
+    # retry spends one, and a dry bucket defers the retry through further
+    # backoff rounds. ``floor_per_sec`` trickles tokens in on the clock so
+    # recovery cannot deadlock when first-attempt traffic has stopped.
     retry_budget_burst: float = 50.0
     retry_budget_floor_per_sec: float = 2.0
     # Circuit breakers per (actor type, method): open after ``threshold``
@@ -135,7 +132,7 @@ class KarConfig:
     # backoff path; first attempts are never shed. ``None`` = unbounded.
     mailbox_capacity: int | None = 256
 
-    # --- multi-worker scale-out (core/cluster.py) ----------------------------
+    # --- multi-worker scale-out (KarApplication(workers=N)) ------------------
     # CPU cost charged to the hosting worker's event loop per actor
     # invocation. Each worker serializes its charges on a busy horizon, so
     # with a positive cost a single worker becomes the throughput ceiling
@@ -163,19 +160,12 @@ class KarConfig:
     # Minimum seconds between controller actions (hysteresis against
     # thrashing on a load signal that has not settled since the last move).
     rebalance_cooldown: float = 5.0
-    # Upper bound on placement actions (migrations/splits/merges) started
-    # per control tick.
-    migration_budget: int = 1
     # A single component whose busy rate exceeds this fraction of one
     # worker's capacity cannot be helped by migration (it saturates any
     # worker alone) and is split into sub-partitions instead.
     split_threshold: float = 0.6
     # Sub-partitions a hot component splits into.
     split_factor: int = 4
-    # Merge hysteresis: split children whose *combined* busy rate stays
-    # below split_threshold * split_merge_ratio for several consecutive
-    # ticks are merged back into the parent component.
-    split_merge_ratio: float = 0.25
     # Half-life of the exponentially decaying load counters behind
     # KarWorker.stats() busy_seconds and the per-component load plane.
     load_halflife: float = 5.0

@@ -9,8 +9,8 @@ amplification without weakening exactly-once for calls that do eventually
 settle:
 
 - :class:`RetryBudget` -- a token bucket in which *first attempts* deposit
-  ``retry_budget_ratio`` tokens and every runtime retry spends one, so
-  retry volume is capped at a configurable fraction of real traffic (plus
+  ``RETRY_BUDGET_RATIO`` tokens and every runtime retry spends one, so
+  retry volume is capped at a fixed fraction of real traffic (plus
   a small time-based floor so a quiesced system can still recover);
 - :class:`BackoffPolicy` -- exponential backoff with full jitter
   (``uniform(0, min(cap, base * 2^attempt))``), replacing the fixed
@@ -57,6 +57,10 @@ __all__ = [
 
 #: Single parking-lot partition inside the application's dead-letter topic.
 DEAD_LETTER_PARTITION = "parked"
+
+#: Retry tokens each first attempt deposits: retries are capped at this
+#: fraction of real traffic (plus the time-based floor).
+RETRY_BUDGET_RATIO = 0.1
 
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
@@ -296,7 +300,7 @@ class OverloadGuard:
             config.retry_backoff_base, config.retry_backoff_cap
         )
         self.budget = RetryBudget(
-            config.retry_budget_ratio,
+            RETRY_BUDGET_RATIO,
             config.retry_budget_burst,
             config.retry_budget_floor_per_sec,
         )

@@ -10,7 +10,7 @@ idle. This module closes the loop:
   through the shared store (``_cluster:<app>:load``), so any observer --
   human or worker -- reads the same view of current hotness;
 - the **controller**: on the same tick it plans at most
-  ``migration_budget`` placement actions, with hysteresis
+  ``MIGRATION_BUDGET`` placement actions, with hysteresis
   (``rebalance_cooldown``) so it reacts to sustained skew, not noise:
 
   * **merge** split children back into their parent once the busiest
@@ -22,9 +22,10 @@ idle. This module closes the loop:
     worker imbalance ``(max - min) / max`` exceeds
     ``rebalance_threshold``.
 
-Every action rides the existing drain -> fence -> replay-tail handoff
-(:class:`~repro.core.cluster.KarCluster`), so exactly-once settlement is
-preserved by the same machinery that covers crashes and joins.
+Every action rides the existing drain -> fence -> replay-tail handoff of
+a multi-worker :class:`~repro.core.app.KarApplication`, so exactly-once
+settlement is preserved by the same machinery that covers crashes and
+joins.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.sharding import parent_partition
 
 if TYPE_CHECKING:
-    from repro.core.cluster import KarCluster
+    from repro.core.app import KarApplication
 
 __all__ = ["PlacementController"]
 
@@ -46,11 +47,19 @@ MERGE_PATIENCE_TICKS = 4
 #: almost-idle cluster has nothing worth paying a handoff for.
 MIN_ACTIONABLE_RATE = 0.2
 
+#: Upper bound on placement actions (migrations/splits/merges) started per
+#: control tick.
+MIGRATION_BUDGET = 1
+
+#: Merge floor as a fraction of ``split_threshold``: split children fold
+#: back once the busiest worker idles below it (see ``_plan_merges``).
+SPLIT_MERGE_RATIO = 0.25
+
 
 class PlacementController:
     """Plans load-driven migrations/splits/merges for one cluster."""
 
-    def __init__(self, cluster: "KarCluster"):
+    def __init__(self, cluster: "KarApplication"):
         self.cluster = cluster
         self.config = cluster.config
         self.load_key = f"_cluster:{cluster.name}:load"
@@ -121,12 +130,11 @@ class PlacementController:
         worker_rates: dict[str, float],
         component_loads: dict[str, dict[str, Any]],
     ) -> list[tuple[str, ...]]:
-        budget = max(1, self.config.migration_budget)
         actions: list[tuple[str, ...]] = []
-        self._plan_merges(worker_rates, actions, budget)
-        if len(actions) < budget:
-            self._plan_splits(component_loads, actions, budget)
-        if len(actions) < budget:
+        self._plan_merges(worker_rates, actions)
+        if len(actions) < MIGRATION_BUDGET:
+            self._plan_splits(component_loads, actions)
+        if len(actions) < MIGRATION_BUDGET:
             self._plan_migration(worker_rates, component_loads, actions)
         for action in actions:
             self.planned[action[0]] += 1
@@ -136,7 +144,6 @@ class PlacementController:
         self,
         worker_rates: dict[str, float],
         actions: list[tuple[str, ...]],
-        budget: int,
     ) -> None:
         """Merge split children back once the *cluster* has cooled.
 
@@ -149,7 +156,7 @@ class PlacementController:
         fold back only when the busiest worker idles below the merge floor
         for ``MERGE_PATIENCE_TICKS`` consecutive ticks.
         """
-        floor = self.config.split_threshold * self.config.split_merge_ratio
+        floor = self.config.split_threshold * SPLIT_MERGE_RATIO
         peak = max(worker_rates.values(), default=0.0)
         for parent in sorted(self.cluster.split_children):
             if peak >= floor:
@@ -158,7 +165,7 @@ class PlacementController:
             self._cold_ticks[parent] = self._cold_ticks.get(parent, 0) + 1
             if (
                 self._cold_ticks[parent] >= MERGE_PATIENCE_TICKS
-                and len(actions) < budget
+                and len(actions) < MIGRATION_BUDGET
             ):
                 self._cold_ticks[parent] = 0
                 actions.append(("merge", parent))
@@ -167,7 +174,6 @@ class PlacementController:
         self,
         component_loads: dict[str, dict[str, Any]],
         actions: list[tuple[str, ...]],
-        budget: int,
     ) -> None:
         candidates = sorted(
             (
@@ -180,7 +186,7 @@ class PlacementController:
             reverse=True,
         )
         for _rate, name in candidates:
-            if len(actions) >= budget:
+            if len(actions) >= MIGRATION_BUDGET:
                 return
             actions.append(("split", name))
 

@@ -152,7 +152,6 @@ class Component:
                 self.app.store,
                 self.member_id,
                 process=self.process,
-                batch_max=self.config.store_batch_max,
             )
         else:
             self.store_client = self.app.store.client(self.member_id)

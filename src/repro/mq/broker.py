@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from repro.mq.errors import FencedMemberError, MQError, StaleLeaseError
 from repro.mq.log import BrokerLog, MemoryBrokerLog
@@ -407,7 +407,9 @@ class Broker:
         self.produce_count += 1
         verdicts: dict[str, bool] = {}
         outcomes: list[Record | MQError] = []
-        appended: set[str] = set()
+        # Insertion-ordered, not a set: waking waiters in set order would
+        # make same-timestamp wake-ups depend on PYTHONHASHSEED.
+        appended: dict[str, None] = {}
         batch_records: list[Record] = []
         topic = self.topic(topic_name)
         for partition_name, value in entries:
@@ -423,7 +425,7 @@ class Broker:
             record = topic.partition(partition_name).append(value, self.kernel.now)
             outcomes.append(record)
             batch_records.append(record)
-            appended.add(partition_name)
+            appended[partition_name] = None
         if batch_records:
             # One journal write covers the whole produce round trip.
             self._journal_append(topic_name, batch_records)
@@ -447,7 +449,7 @@ class Broker:
             )
         if records:
             self._journal_append(topic_name, records)
-        for partition_name in {partition for partition, _value in entries}:
+        for partition_name in dict.fromkeys(partition for partition, _value in entries):
             self._wake_append_waiters(topic_name, partition_name)
         return records
 
@@ -509,12 +511,3 @@ class Broker:
         self.consume_count += 1
         partition = self.topic(topic_name).partition(partition_name)
         return partition.read_from(offset, self.kernel.now, limit)
-
-    def validate_partition_exists(self, topic_name: str, partition_name: str) -> None:
-        if partition_name not in self.topic(topic_name).partitions:
-            raise MQError(f"unknown partition {partition_name!r} in {topic_name!r}")
-
-
-def total_backlog(topics: Iterable[Topic], now: float) -> int:
-    """Total unexpired records across topics (reconciliation cost driver)."""
-    return sum(len(topic.snapshot_unexpired(now)) for topic in topics)

@@ -48,10 +48,6 @@ class SimProcess:
         for hook in hooks:
             hook()
 
-    @property
-    def task_count(self) -> int:
-        return len(self._tasks)
-
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"
         return f"SimProcess({self.name!r}, {state}, tasks={len(self._tasks)})"

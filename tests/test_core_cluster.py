@@ -1,6 +1,6 @@
 """Multi-worker scale-out: sharded hosting, worker lifecycle, handoff.
 
-Covers the cluster control plane (`repro.core.cluster`): consistent-hash
+Covers the multi-worker control plane (`KarApplication(workers=N)`): consistent-hash
 assignment of components to worker loops, the unified ``app.stats()``
 evidence surface, worker crash detection + re-hosting, graceful removal,
 live migration on worker join, and exactly-once settlement across a
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Actor, KarCluster, KarConfig, actor_proxy
+from repro.core import Actor, KarApplication, KarConfig, actor_proxy
 from repro.persist import PersistenceConfig
 from repro.sim import Kernel
 
@@ -49,7 +49,7 @@ def make_cluster(
                 mode="sqlite", root=str(tmp_path / "durable")
             )
         )
-    app = KarCluster(kernel, config, "cluster", workers=workers)
+    app = KarApplication(kernel, config, "cluster", workers=workers)
     app.register_actor(Echo, "Echo")
     app.register_actor(Counter, "Counter")
     for index in range(components):
@@ -189,6 +189,37 @@ def test_add_worker_migrates_ring_share():
     ]
     kernel.run(until=kernel.now + 5.0)
     assert app.stats("calls")["unsettled"] == []
+
+
+def test_zero_workers_is_single_loop():
+    kernel = Kernel(seed=0)
+    app = KarApplication(kernel, KarConfig.fast_test(), "solo")
+    app.register_actor(Echo, "Echo")
+    app.add_component("comp0", ("Echo",))
+    app.settle()
+    assert drive_calls(kernel, app, range(4)) == [1, 2, 3, 4]
+    assert app.worker_of("comp0") is None
+    assert app.stats("workers") == {}
+    placement = app.stats("placement")
+    assert placement["adaptive"] is False
+    assert placement["controller"] == {} and placement["load"] == {}
+    with pytest.raises(ValueError, match="workers=0"):
+        app.add_worker()
+
+
+def test_reopen_keeps_worker_topology(tmp_path):
+    kernel, app = make_cluster(workers=3, mode="sqlite", tmp_path=tmp_path)
+    drive_calls(kernel, app, range(10))
+    app = app.reopen()
+    assert sorted(app.workers) == ["w0", "w1", "w2"]
+    for index in range(4):
+        app.add_component(f"comp{index}", ("Echo", "Counter"))
+    app.settle()
+    assert {app.worker_of(f"comp{i}") for i in range(4)} <= {"w0", "w1", "w2"}
+    assert drive_calls(kernel, app, range(10, 20)) == list(range(11, 21))
+    kernel.run(until=kernel.now + 5.0)
+    assert app.stats("calls")["unsettled"] == []
+    app.shutdown()
 
 
 # ----------------------------------------------------------------------

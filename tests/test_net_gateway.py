@@ -498,24 +498,6 @@ def test_unknown_actor_type_is_rejected_at_admission():
 # ----------------------------------------------------------------------
 
 
-def test_deprecated_stats_shims_warn_and_agree():
-    kernel, app = build_app()
-    shims = [
-        ("transport_stats", "transport"),
-        ("store_stats", "store"),
-        ("overload_stats", "overload"),
-        ("persistence_stats", "persistence"),
-        ("placement_stats", "placement"),
-    ]
-    for old_name, family in shims:
-        with pytest.warns(DeprecationWarning, match=old_name):
-            legacy = getattr(app, old_name)()
-        assert legacy == app.stats(family)
-    with pytest.warns(DeprecationWarning, match="unsettled_call_ids"):
-        legacy = app.unsettled_call_ids()
-    assert legacy == app.stats("calls")["unsettled"]
-
-
 def test_stats_tree_rejects_unknown_family():
     kernel, app = build_app()
     with pytest.raises(KeyError):

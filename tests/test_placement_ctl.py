@@ -17,7 +17,7 @@ What must hold:
 
 from __future__ import annotations
 
-from repro.core import Actor, DecayingCounter, KarCluster, KarConfig, actor_proxy
+from repro.core import Actor, DecayingCounter, KarApplication, KarConfig, actor_proxy
 from repro.sim import Kernel
 
 
@@ -41,7 +41,7 @@ def make_cluster(seed=0, workers=2, components=4, **overrides):
     config = KarConfig.fast_test().with_overrides(
         worker_loop_cost=0.005, **overrides
     )
-    app = KarCluster(kernel, config, "ctl", workers=workers)
+    app = KarApplication(kernel, config, "ctl", workers=workers)
     app.register_actor(Counter, "Counter")
     for index in range(components):
         app.add_component(f"comp{index}", ("Counter",))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Actor, KarCluster, KarConfig, actor_proxy
+from repro.core import Actor, KarApplication, KarConfig, actor_proxy
 from repro.mq import (
     Broker,
     BrokerConfig,
@@ -73,7 +73,7 @@ def make_cluster(seed=0, workers=2, components=4, **overrides):
     config = KarConfig.fast_test().with_overrides(
         worker_loop_cost=0.002, **overrides
     )
-    app = KarCluster(kernel, config, "edges", workers=workers)
+    app = KarApplication(kernel, config, "edges", workers=workers)
     app.register_actor(Counter, "Counter")
     app.register_actor(Relay, "Relay")
     for index in range(components):
@@ -92,7 +92,7 @@ def test_handoff_while_retry_parked_settles_exactly_once():
     config = KarConfig.fast_test().with_overrides(
         worker_loop_cost=0.002, cancellation=False
     )
-    app = KarCluster(kernel, config, "edges", workers=3)
+    app = KarApplication(kernel, config, "edges", workers=3)
     app.register_actor(SlowCallee, "SlowCallee")
     app.register_actor(ParkCaller, "ParkCaller")
     app.add_component("callers", ("ParkCaller",))
@@ -313,7 +313,7 @@ def test_migration_target_killed_mid_drain_lands_on_live_worker():
     config = KarConfig.fast_test().with_overrides(
         worker_loop_cost=0.002, cancellation=False
     )
-    app = KarCluster(kernel, config, "edges", workers=3)
+    app = KarApplication(kernel, config, "edges", workers=3)
     app.register_actor(SlowCallee, "SlowCallee")
     app.add_component("callees", ("SlowCallee",))
     client = app.client()
