@@ -191,6 +191,9 @@ class Broker:
         #: not journaled: liveness evidence for the control plane's wedge
         #: detector, while ownership itself stays in the durable lease.
         self._lease_renewed: dict[tuple[str, str], float] = {}
+        #: Memo of :meth:`_check_lease`'s parse: client id -> (base, epoch),
+        #: or None for an identity that carries no lease epoch.
+        self._lease_ids: dict[str, tuple[str, int] | None] = {}
         self._append_waiters: dict[tuple[str, str], list] = {}
         #: Produce round trips (one per produce / produce_batch call).
         self.produce_count = 0
@@ -304,11 +307,17 @@ class Broker:
         it also catches a stale incarnation after a cold restart, when the
         in-memory fence set is empty but the durable lease survived.
         """
-        base, sep, epoch_text = client_id.rpartition("#")
-        if not sep or not epoch_text.isdigit():
+        try:
+            parsed = self._lease_ids[client_id]
+        except KeyError:
+            base, sep, epoch_text = client_id.rpartition("#")
+            parsed = (base, int(epoch_text)) if sep and epoch_text.isdigit() else None
+            self._lease_ids[client_id] = parsed
+        if parsed is None:
             return
+        base, epoch = parsed
         lease = self._leases.get((topic_name, base))
-        if lease is not None and int(epoch_text) < lease[1]:
+        if lease is not None and epoch < lease[1]:
             raise StaleLeaseError(
                 f"{client_id!r} superseded by {lease[0]!r} at epoch {lease[1]}"
             )

@@ -1,16 +1,34 @@
 """Event loop with simulated time, futures, and fail-stop tasks.
 
-The kernel is intentionally small: a binary heap of timestamped callbacks, a
-coroutine driver, and a seeded random number generator. Determinism is a core
+The kernel is intentionally small: two queues of callbacks, a coroutine
+driver, and a seeded random number generator. Determinism is a core
 requirement -- the paper's 48-hour, 1,000-failure campaign is reproduced as a
 simulated-time campaign, and reruns with the same seed must be bit-identical.
+
+Callbacks run in ``(when, seq)`` order: by due time, then by the order they
+were scheduled. Two queues implement that order:
+
+* a binary heap of ``(when, seq, timer, callback, args)`` for callbacks due
+  strictly later than the time at which they were scheduled;
+* a FIFO *ready lane* for callbacks due *now* -- future wake-ups, task
+  starts, and ``schedule``/``call_soon`` with ``now + delay == now``. These
+  are most callbacks, and the lane spares them a heap push, a heap pop and,
+  for the internal ones, a :class:`Timer`.
+
+The invariant that keeps the merge exact: a heap entry due at ``now`` was
+pushed before time reached ``now``, so its sequence number is below that of
+every lane entry, all of which were appended at ``now``. The loop therefore
+runs heap entries with ``when <= now`` first, then the lane in FIFO order,
+and advances time (to the heap's head) only once the lane is empty.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from collections import deque
 from random import Random
-from typing import Any, Awaitable, Callable, Coroutine, Generator, Iterable
+from typing import Any, Callable, Coroutine, Generator, Iterable
 
 __all__ = ["Kernel", "SimFuture", "SimTask", "TaskKilled", "Timer"]
 
@@ -28,7 +46,7 @@ class SimFuture:
 
     __slots__ = ("_kernel", "_done", "_result", "_exception", "_callbacks")
 
-    def __init__(self, kernel: "Kernel"):
+    def __init__(self, kernel: "Kernel") -> None:
         self._kernel = kernel
         self._done = False
         self._result: Any = None
@@ -63,12 +81,13 @@ class SimFuture:
         self._result = value
         self._exception = exception
         callbacks, self._callbacks = self._callbacks, []
+        ready = self._kernel._ready
         for callback in callbacks:
-            self._kernel.call_soon(callback, self)
+            ready.append((_LIVE, callback, (self,)))
 
     def add_done_callback(self, callback: Callable[["SimFuture"], None]) -> None:
         if self._done:
-            self._kernel.call_soon(callback, self)
+            self._kernel._ready.append((_LIVE, callback, (self,)))
         else:
             self._callbacks.append(callback)
 
@@ -77,7 +96,9 @@ class SimFuture:
             yield self
         if not self._done:
             raise RuntimeError("task resumed before future resolved")
-        return self.result()
+        if self._exception is not None:
+            raise self._exception
+        return self._result
 
 
 class Timer:
@@ -85,12 +106,17 @@ class Timer:
 
     __slots__ = ("when", "cancelled")
 
-    def __init__(self, when: float):
+    def __init__(self, when: float) -> None:
         self.when = when
         self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
+
+
+#: Shared by the callbacks no caller can cancel (future wake-ups, task
+#: starts, sleeps), so queueing them allocates no Timer. Never handed out.
+_LIVE = Timer(0.0)
 
 
 class SimTask:
@@ -110,7 +136,7 @@ class SimTask:
         coro: Coroutine[Any, Any, Any],
         process: Any = None,
         name: str = "task",
-    ):
+    ) -> None:
         self.kernel = kernel
         self.name = name
         self.process = process
@@ -119,49 +145,44 @@ class SimTask:
         self.completion = SimFuture(kernel)
 
     def done(self) -> bool:
-        return self.completion.done()
+        return self.completion._done
 
     def kill(self) -> None:
         """Abandon the task abruptly (fail-stop)."""
-        if not self.alive or self.done():
-            self.alive = False
-            return
-        self.alive = False
-        if not self.completion.done():
+        alive, self.alive = self.alive, False
+        if alive and not self.completion._done:
             self.completion.set_exception(TaskKilled(self.name))
         # Deliberately do not close the coroutine: closing would run
         # ``finally`` blocks, which a crashed process never gets to do.
 
-    def _step(self, value: Any = None, exception: BaseException | None = None) -> None:
-        if not self.alive or self.done():
+    def _step(self, future: SimFuture | None = None) -> None:
+        """Resume the coroutine: first with ``None``, then each time the
+        future it awaits resolves (:meth:`SimFuture.__await__` reads the
+        result itself; an exception is thrown in at the ``await``)."""
+        completion = self.completion
+        if not self.alive or completion._done:
             return
         try:
-            if exception is not None:
-                yielded = self.coro.throw(exception)
+            if future is not None and future._exception is not None:
+                yielded = self.coro.throw(future._exception)
             else:
-                yielded = self.coro.send(value)
+                yielded = self.coro.send(None)
         except StopIteration as stop:
-            if not self.completion.done():
-                self.completion.set_result(stop.value)
+            if not completion._done:
+                completion.set_result(stop.value)
         except BaseException as error:  # noqa: BLE001 - task boundary
-            if not self.completion.done():
-                self.completion.set_exception(error)
+            if not completion._done:
+                completion.set_exception(error)
             self.kernel._record_crash(self, error)
         else:
             if not isinstance(yielded, SimFuture):
                 raise TypeError(
                     f"task {self.name!r} awaited a non-sim awaitable: {yielded!r}"
                 )
-            yielded.add_done_callback(self._on_future)
-
-    def _on_future(self, future: SimFuture) -> None:
-        if not self.alive or self.done():
-            return
-        error = future.exception()
-        if error is not None:
-            self._step(exception=error)
-        else:
-            self._step(value=future.result())
+            if yielded._done:  # only a hand-written awaitable yields a done future
+                yielded.add_done_callback(self._step)
+            else:
+                yielded._callbacks.append(self._step)
 
     def __await__(self) -> Generator[SimFuture, None, Any]:
         return self.completion.__await__()
@@ -170,10 +191,11 @@ class SimTask:
 class Kernel:
     """Deterministic discrete-event scheduler with simulated time in seconds."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
         self._sequence = 0
         self._heap: list[tuple[float, int, Timer, Callable[..., None], tuple]] = []
+        self._ready: deque[tuple[Timer, Callable[..., None], tuple]] = deque()
         self.rng = Random(seed)
         self.crashes: list[tuple[SimTask, BaseException]] = []
 
@@ -186,23 +208,35 @@ class Kernel:
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
         timer = Timer(self._now + delay)
-        self._sequence += 1
-        heapq.heappush(self._heap, (timer.when, self._sequence, timer, callback, args))
+        self._enqueue(delay, timer, callback, args)
         return timer
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> Timer:
-        return self.schedule(0.0, callback, *args)
+        """Run ``callback(*args)`` at the current time, after what is queued."""
+        timer = Timer(self._now)
+        self._ready.append((timer, callback, args))
+        return timer
+
+    def _enqueue(
+        self, delay: float, timer: Timer, callback: Callable[..., None], args: tuple
+    ) -> None:
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        when = self._now + delay
+        if when == self._now:
+            self._ready.append((timer, callback, args))
+        else:
+            self._sequence += 1
+            heapq.heappush(self._heap, (when, self._sequence, timer, callback, args))
 
     def create_future(self) -> SimFuture:
         return SimFuture(self)
 
     def sleep(self, delay: float) -> SimFuture:
         """Awaitable resolved after ``delay`` simulated seconds."""
-        future = self.create_future()
-        self.schedule(delay, future.set_result, None)
+        future = SimFuture(self)
+        self._enqueue(delay, _LIVE, future.set_result, (None,))
         return future
 
     def spawn(
@@ -218,34 +252,24 @@ class Kernel:
                 task.kill()
                 return task
             process.adopt(task)
-        self.call_soon(task._step)
+        self._ready.append((_LIVE, task._step, ()))
         return task
 
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> None:
-        """Process events in timestamp order.
+        """Process events in ``(when, seq)`` order.
 
-        Stops when the heap drains, simulated time passes ``until``, or
-        ``max_events`` events have run (a runaway guard for tests).
+        Stops when both queues drain, simulated time would pass ``until``,
+        or ``max_events`` events have run (a runaway guard for tests).
+        Time never moves backwards: an ``until`` in the past runs nothing.
         """
-        events = 0
-        while self._heap:
-            when, _seq, timer, callback, args = self._heap[0]
-            if until is not None and when > until:
-                self._now = until
-                return
-            heapq.heappop(self._heap)
-            if timer.cancelled:
-                continue
-            self._now = when
-            callback(*args)
-            events += 1
-            if events >= max_events:
-                raise RuntimeError(f"kernel exceeded {max_events} events")
-        if until is not None:
-            self._now = max(self._now, until)
+        if until is not None and until < self._now:
+            return
+        self._drive(until, None, max_events)
+        if until is not None and until > self._now:
+            self._now = until
 
     def run_until_complete(
         self, awaitable: SimTask | SimFuture, timeout: float | None = None
@@ -253,17 +277,41 @@ class Kernel:
         """Drive the loop until ``awaitable`` resolves; return its result."""
         future = awaitable.completion if isinstance(awaitable, SimTask) else awaitable
         deadline = None if timeout is None else self._now + timeout
-        while not future.done():
-            if not self._heap:
-                raise RuntimeError("event loop drained before completion")
-            if deadline is not None and self._heap[0][0] > deadline:
-                raise TimeoutError(f"not complete after {timeout} simulated seconds")
-            when, _seq, timer, callback, args = heapq.heappop(self._heap)
-            if timer.cancelled:
-                continue
-            self._now = when
-            callback(*args)
+        if self._drive(deadline, future, math.inf):
+            raise TimeoutError(f"not complete after {timeout} simulated seconds")
+        if not future._done:
+            raise RuntimeError("event loop drained before completion")
         return future.result()
+
+    def _drive(
+        self, bound: float | None, future: SimFuture | None, max_events: float
+    ) -> bool:
+        """Run callbacks in ``(when, seq)`` order until ``future`` resolves or
+        both queues drain; True if it stopped at the next one due after
+        ``bound`` instead."""
+        heap, ready = self._heap, self._ready
+        pop, popleft = heapq.heappop, ready.popleft
+        events = 0
+        while future is None or not future._done:
+            if heap and (not ready or heap[0][0] <= self._now):
+                when = heap[0][0]
+                if bound is not None and when > bound:
+                    return True
+                _when, _seq, timer, callback, args = pop(heap)
+                if timer.cancelled:
+                    continue
+                self._now = when
+            elif ready:
+                timer, callback, args = popleft()
+                if timer.cancelled:
+                    continue
+            else:
+                return False
+            callback(*args)
+            events += 1
+            if events >= max_events:
+                raise RuntimeError(f"kernel exceeded {max_events} events")
+        return False
 
     def gather(self, awaitables: Iterable[SimTask | SimFuture]) -> SimFuture:
         """Future resolved with the list of results once all inputs resolve.

@@ -34,13 +34,15 @@ class Latency:
             raise ValueError(f"negative base latency: {self.base}")
         if self.jitter < 0:
             raise ValueError(f"negative jitter: {self.jitter}")
+        # Not a field: derived once here instead of on every sample.
+        lower = self.floor if self.floor is not None else max(0.0, self.base / 2)
+        object.__setattr__(self, "_lower", lower)
 
     def sample(self, rng: Random) -> float:
         if self.jitter == 0.0:
             return self.base
-        lower = self.floor if self.floor is not None else max(0.0, self.base / 2)
         value = self.base + rng.uniform(-self.jitter, self.jitter)
-        return max(lower, value)
+        return max(self._lower, value)
 
     def scaled(self, factor: float) -> "Latency":
         return Latency(self.base * factor, self.jitter * factor, self.floor)

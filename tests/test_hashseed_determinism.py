@@ -100,10 +100,20 @@ def _run_under(hash_seed: str) -> dict:
     return json.loads(result.stdout)
 
 
+# The workload's fingerprint, pinned so that any change to event order
+# fails here. Re-pin only on purpose, and say why in CHANGES.md.
+PINNED = {
+    "trace_sha256": "6fff6ea5d4049cffb1e0d21437e5e73ca308ebe797ad2a4d37e32588981d31b2",
+    "events": 2877,
+    "now": 10.054250000000131,
+}
+
+
 def test_trace_and_placement_identical_across_hash_seeds():
     first, second = _run_under("0"), _run_under("1")
     assert first["placement"]["migrations"] + first["placement"]["splits"] > 0
     assert first == second
+    assert {key: first[key] for key in PINNED} == PINNED
 
 
 if __name__ == "__main__":

@@ -1,6 +1,11 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import heapq
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Kernel, SimProcess, TaskKilled
 
@@ -249,3 +254,210 @@ def test_event_loop_drained_error():
     future = kernel.create_future()
     with pytest.raises(RuntimeError):
         kernel.run_until_complete(future)
+
+
+def test_run_until_in_the_past_never_rewinds_time():
+    kernel = Kernel()
+    seen = []
+    kernel.schedule(5.0, seen.append, "late")
+    kernel.run(until=1.0)
+    assert kernel.now == 1.0
+    kernel.run(until=0.5)
+    assert kernel.now == 1.0
+    kernel.call_soon(seen.append, "soon")
+    kernel.run(until=0.5)  # nothing is due by a bound already passed
+    assert (seen, kernel.now) == ([], 1.0)
+    kernel.run()
+    assert (seen, kernel.now) == (["soon", "late"], 5.0)
+
+
+def test_cancelled_call_soon_never_runs():
+    kernel = Kernel()
+    seen = []
+    kernel.call_soon(seen.append, "kept")
+    kernel.call_soon(seen.append, "dropped").cancel()
+    kernel.schedule(0.0, seen.append, "dropped too").cancel()
+    kernel.run()
+    assert seen == ["kept"]
+    future = kernel.create_future()
+    kernel.call_soon(seen.append, "dropped again").cancel()
+    kernel.call_soon(future.set_result, "done")
+    assert kernel.run_until_complete(future) == "done"
+    assert seen == ["kept"]
+
+
+@pytest.mark.parametrize("drive", ["run", "run_until_complete"])
+def test_due_timers_run_before_wake_ups_queued_at_the_same_time(drive):
+    kernel = Kernel()
+    seen = []
+    future = kernel.create_future()
+
+    async def waiter():
+        seen.append(await future)
+
+    def first():
+        seen.append("first")
+        kernel.call_soon(seen.append, "queued by first")
+        future.set_result("woken by first")
+
+    kernel.spawn(waiter())
+    kernel.schedule(1.0, first)
+    kernel.schedule(1.0, seen.append, "second")
+    if drive == "run":
+        kernel.run()
+    else:
+        kernel.run_until_complete(kernel.sleep(2.0))
+    assert seen == ["first", "second", "queued by first", "woken by first"]
+
+
+# ----------------------------------------------------------------------
+# ordering oracle: the kernel against a heap-only (when, seq) scheduler
+# ----------------------------------------------------------------------
+class _HeapLane:
+    """Stands in for the ready lane: every wake-up goes on the heap."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+
+    def append(self, entry):
+        self.kernel._enqueue(0.0, *entry)
+
+
+class HeapOnlyKernel(Kernel):
+    """Reference scheduler: one heap, strict ``(when, seq)`` order."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self._ready = _HeapLane(self)
+
+    def _enqueue(self, delay, timer, callback, args):
+        assert delay >= 0
+        self._sequence += 1
+        entry = (self._now + delay, self._sequence, timer, callback, args)
+        heapq.heappush(self._heap, entry)
+
+    def _next(self, bound):
+        """Pop the next live entry due by ``bound``; None when there is none."""
+        while self._heap and (bound is None or self._heap[0][0] <= bound):
+            when, _seq, timer, callback, args = heapq.heappop(self._heap)
+            if not timer.cancelled:
+                self._now = when
+                return callback, args
+        return None
+
+    def run(self, until=None, max_events=None):
+        while (entry := self._next(until)) is not None:
+            entry[0](*entry[1])
+        if until is not None:
+            self._now = max(self._now, until)
+
+    def run_until_complete(self, awaitable, timeout=None):
+        future = getattr(awaitable, "completion", awaitable)
+        deadline = None if timeout is None else self._now + timeout
+        while not future.done():
+            if not self._heap:
+                raise RuntimeError("event loop drained before completion")
+            if (entry := self._next(deadline)) is None:
+                if self._heap:
+                    raise TimeoutError
+                continue
+            entry[0](*entry[1])
+        return future.result()
+
+
+def _execute(kernel, program, drain_by_complete):
+    """Run ``program`` on ``kernel``; return the log of everything that ran."""
+    log, handles, futures, tasks = [], [], [], []
+    labels = itertools.count()
+
+    def fire(label, children):
+        log.append((label, kernel.now))
+        for child in children:
+            perform(child)
+
+    async def waiter(label, future, nap, children):
+        await kernel.sleep(nap)
+        log.append((label, kernel.now, await future))
+        for child in children:
+            perform(child)
+
+    def perform(action):
+        kind, *rest = action
+        if kind == "schedule":
+            delay, children = rest
+            handles.append(kernel.schedule(delay, fire, next(labels), children))
+        elif kind == "soon":
+            handles.append(kernel.call_soon(fire, next(labels), rest[0]))
+        elif kind == "cancel" and handles:
+            handles[rest[0] % len(handles)].cancel()
+        elif kind == "future":
+            futures.append(kernel.create_future())
+        elif kind == "resolve" and futures:
+            future = futures[rest[0] % len(futures)]
+            if not future.done():
+                future.set_result(next(labels))
+        elif kind == "await" and futures:
+            pick, nap, children = rest
+            future = futures[pick % len(futures)]
+            tasks.append(kernel.spawn(waiter(next(labels), future, nap, children)))
+
+    for step in program:
+        if step[0] == "run":
+            kernel.run(until=kernel.now + step[1])
+        elif step[0] == "complete":
+            _, pick, timeout = step
+            targets = (tasks or futures) if pick is not None else []
+            target = targets[pick % len(targets)] if targets else kernel.create_future()
+            try:
+                kernel.run_until_complete(target, timeout)
+            except (RuntimeError, TimeoutError) as error:
+                log.append(type(error).__name__)
+        else:
+            perform(step)
+        log.append(("now", kernel.now))
+    if drain_by_complete:
+        # A future nobody resolves: every pending event runs, then the
+        # drained-loop error.
+        with pytest.raises(RuntimeError):
+            kernel.run_until_complete(kernel.create_future())
+    kernel.run()
+    log.append(("end", kernel.now, kernel.crashes == []))
+    return log
+
+
+# Repeated delays and 0.0 make same-time ties; 1e-18 is absorbed once
+# now >= 1, so "now + delay == now" also happens for a positive delay.
+_delays = st.sampled_from([0.0, 1e-18, 1.0, 1.0, 1.0, 2.0])
+_picks = st.integers(0, 30)
+_actions = st.recursive(
+    st.one_of(
+        st.tuples(st.just("schedule"), _delays, st.just([])),
+        st.tuples(st.just("soon"), st.just([])),
+        st.tuples(st.just("cancel"), _picks),
+        st.tuples(st.just("future")),
+        st.tuples(st.just("resolve"), _picks),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.just("schedule"), _delays, st.lists(inner, max_size=3)),
+        st.tuples(st.just("soon"), st.lists(inner, max_size=3)),
+        st.tuples(st.just("await"), _picks, _delays, st.lists(inner, max_size=3)),
+    ),
+    max_leaves=12,
+)
+_steps = st.one_of(
+    st.tuples(st.just("run"), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0])),
+    st.tuples(
+        st.just("complete"),
+        st.one_of(st.none(), _picks),
+        st.sampled_from([0.0, 1.0, None]),
+    ),
+)
+# Mostly actions, so that several are pending when time moves.
+_programs = st.lists(st.one_of(_actions, _actions, _actions, _steps), max_size=14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs, st.booleans())
+def test_callback_order_matches_heap_only_reference(program, drain_by_complete):
+    expected = _execute(HeapOnlyKernel(), program, drain_by_complete)
+    assert _execute(Kernel(), program, drain_by_complete) == expected
