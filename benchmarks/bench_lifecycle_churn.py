@@ -69,7 +69,7 @@ def churn_config() -> KarConfig:
 def run_churn():
     kernel = Kernel(seed=7)
     app = KarApplication(kernel, churn_config())
-    app.trace.enabled = False  # bound host memory over millions of events
+    app.trace.enabled = False  # skip recording CPU over millions of events
     app.register_actor(ChurnActor)
     worker = app.add_component("w1", ("ChurnActor",))
     client = app.client()

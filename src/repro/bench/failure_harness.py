@@ -107,7 +107,8 @@ class FailureCampaign:
             or ReeferConfig(order_rate=0.5, anomaly_rate=0.02,
                             containers_per_depot=200),
         )
-        # Campaigns run long: tracing every invocation would dominate memory.
+        # Campaigns run long: the ring bounds trace memory, but recording
+        # every invocation would still cost CPU the campaign does not need.
         self.reefer.app.trace.enabled = False
 
     # ------------------------------------------------------------------

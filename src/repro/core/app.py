@@ -231,6 +231,9 @@ class KarApplication:
         """
         worker_ids = tuple(sorted(self.workers))
         self.shutdown()
+        # The dead boot's partitions would otherwise stay resident while
+        # the next boot replays the same records from the log.
+        self.broker.release_partitions()
         store_backend, broker_log = reopen_persistence(
             self.config.persistence, self.name, self.store.backend, self.broker.log
         )
@@ -826,7 +829,7 @@ class KarApplication:
         returns just one family without paying for the others (the cheap
         form for polling loops). Families: ``transport``, ``store``,
         ``persistence``, ``overload``, ``calls``, ``placement``,
-        ``gateway``, ``workers``.
+        ``gateway``, ``workers``, ``trace``.
         """
         builders = {
             "transport": self._transport_stats,
@@ -837,6 +840,7 @@ class KarApplication:
             "placement": self._placement_stats,
             "gateway": self._gateway_stats,
             "workers": self._workers_stats,
+            "trace": self.trace.stats,
         }
         if family is not None:
             try:
@@ -1082,8 +1086,11 @@ class KarApplication:
         requested: set[str] = set()
         responded: set[str] = set()
         topic = self.broker.topics.get(self.topic_name)
-        if topic is not None:
-            for record in topic.snapshot_unexpired(self.kernel.now):
+        if topic is None:
+            return requested, responded
+        now = self.kernel.now
+        for partition in topic.partitions.values():
+            for record in partition.unexpired(now):
                 envelope = record.value
                 if isinstance(envelope, Response):
                     responded.add(envelope.request_id)

@@ -62,17 +62,25 @@ class Request:
         """The single message that atomically completes this request while
         issuing the next one (Section 2.3): same id, same return address,
         bumped step; the lock is retained iff the callee is the caller."""
-        return replace(
-            self,
-            step=self.step + 1,
-            actor=actor,
-            method=method,
-            args=args,
-            tail_lock=(actor == current),
-            after_callee=None,
-            copy_epoch=0,
-            attempts=0,
-            attempt_log=(),
+        # Positional, in field order: this runs on every tail call, and
+        # ``dataclasses.replace`` costs about twice as much.
+        return Request(
+            self.request_id,
+            self.step + 1,
+            actor,
+            method,
+            args,
+            self.return_address,
+            self.reply_to,
+            self.caller_actor,
+            self.caller_member,
+            self.ancestors,
+            actor == current,
+            None,
+            0,
+            self.expects_reply,
+            0,
+            (),
         )
 
     def recovery_copy(

@@ -235,6 +235,14 @@ class Broker:
                 self._lease_renewed[(lease_topic, base)] = self.kernel.now
         return restored
 
+    def release_partitions(self) -> None:
+        """Forget every partition held in memory, leaving the log as is.
+
+        A shut-down boot calls this before its successor replays the log,
+        so the retained records are not held twice during the replay.
+        """
+        self.topics.clear()
+
     # ------------------------------------------------------------------
     # partition ownership leases (cross-worker handoff fencing)
     # ------------------------------------------------------------------

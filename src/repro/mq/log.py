@@ -597,6 +597,8 @@ class FileJournalLog(BrokerLog):
         self._flush_file()
 
     def close(self) -> None:
+        """Flush, release the file handles, and drop the in-memory image:
+        the file is the durable copy, and the next opener replays it."""
         if self._file.closed:
             return
         if not self.read_only:
@@ -604,3 +606,4 @@ class FileJournalLog(BrokerLog):
         self._file.close()
         if not self._lock_handle.closed:
             self._lock_handle.close()
+        self._parts.clear()

@@ -9,7 +9,7 @@ grouped into :class:`SimProcess` failure domains that can be killed abruptly
 from repro.sim.kernel import Kernel, SimFuture, SimTask, TaskKilled
 from repro.sim.latency import Latency
 from repro.sim.process import SimProcess
-from repro.sim.trace import TraceEvent, TraceRecorder
+from repro.sim.trace import TraceEvent, TraceRecorder, TraceTruncated
 
 __all__ = [
     "Kernel",
@@ -20,4 +20,5 @@ __all__ = [
     "TaskKilled",
     "TraceEvent",
     "TraceRecorder",
+    "TraceTruncated",
 ]

@@ -97,6 +97,7 @@ def test_unified_stats_reports_per_worker():
         "placement",
         "calls",
         "gateway",
+        "trace",
     }
     # Single-family access agrees with the full tree.
     assert stats["transport"] == app.stats("transport")

@@ -186,6 +186,40 @@ def test_boot_epochs_and_generation_are_monotonic(mode, tmp_path):
     app3.shutdown()
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_reopen_releases_the_dead_boot(mode, tmp_path):
+    """The shut-down boot keeps no second copy of the retained log while
+    the next boot replays it."""
+    kernel = Kernel(seed=28)
+    app = boot_app(kernel, make_config(mode, tmp_path))
+    client = app.client()
+
+    async def drive(wid):
+        ref = actor_proxy("Flow", f"f{wid}")
+        await client.invoke(None, ref, "start", (wid, 2), True)
+
+    for wid in range(6):
+        kernel.spawn(drive(wid), client.process, name=f"wf{wid}")
+    kernel.run(until=kernel.now + 0.05)
+    retained = app.broker.log.retained_records()
+    assert retained > 0
+
+    app2 = app.reopen()
+    assert app.broker.topics == {}
+    assert app2.restored_records == retained
+    if mode == "sqlite":
+        # The closed journal dropped its image; the file is the copy.
+        assert app.broker.log.retained_records() == 0
+    else:
+        # A memory log is the surviving service itself: carried over whole.
+        assert app2.broker.log is app.broker.log
+        assert app2.broker.log.retained_records() == retained
+    readd_components(app2)
+    assert drain(app2) == []
+    kernel.check_no_crashes()
+    app2.shutdown()
+
+
 def test_sqlite_reopen_restores_state_and_placement(tmp_path):
     kernel = Kernel(seed=24)
     app = boot_app(kernel, make_config("sqlite", tmp_path))

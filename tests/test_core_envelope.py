@@ -1,5 +1,7 @@
 """Unit tests for wire envelopes: tail successors, recovery copies."""
 
+import dataclasses
+
 from repro.core.envelope import Request, Response, TailCall
 from repro.core.refs import ActorRef
 
@@ -54,6 +56,35 @@ def test_tail_successor_clears_recovery_annotations():
     successor = request.tail_successor(A, "next", (), current=A)
     assert successor.after_callee is None
     assert successor.copy_epoch == 0
+
+
+def test_tail_successor_matches_field_replacement():
+    # The successor is built positionally; every field must equal what a
+    # keyword replacement of the predecessor gives, including the ones
+    # carried over (tell flag, ancestors) and the ones reset.
+    request = base_request(
+        after_callee="r9",
+        copy_epoch=4,
+        expects_reply=False,
+        attempts=2,
+        attempt_log=(1.0, 2.0),
+        tail_lock=True,
+    )
+    for target in (A, B):
+        successor = request.tail_successor(target, "next", (7,), current=A)
+        expected = dataclasses.replace(
+            request,
+            step=1,
+            actor=target,
+            method="next",
+            args=(7,),
+            tail_lock=target == A,
+            after_callee=None,
+            copy_epoch=0,
+            attempts=0,
+            attempt_log=(),
+        )
+        assert successor == expected
 
 
 def test_recovery_copy_sets_epoch_and_after_callee():

@@ -156,13 +156,20 @@ def test_trace_queries():
 
 def test_trace_disabled_records_nothing():
     trace = TraceRecorder(enabled=False)
+    seen = []
+    trace.subscribe(seen.append)
     assert trace.emit("a") is None
     assert len(trace) == 0
+    assert seen == [] and trace.window() == []
+    assert trace.stats()["kinds"] == {}
 
 
 def test_trace_subscribers():
-    trace = TraceRecorder()
+    # Subscribers see every event, including those the ring has dropped.
+    trace = TraceRecorder(capacity=2)
     seen = []
     trace.subscribe(seen.append)
-    trace.emit("evt", v=1)
-    assert len(seen) == 1 and seen[0].kind == "evt"
+    for value in range(5):
+        trace.emit("evt", v=value)
+    assert [event["v"] for event in seen] == [0, 1, 2, 3, 4]
+    assert seen[0].kind == "evt"
